@@ -50,11 +50,11 @@ _EPOCH = 1_700_000_000.0
 
 
 def sample_records(n: int):
-    """A realistic append mix: per txn one BEGIN, two UPDATEs over the
-    sales row shapes, one COMMIT (the T1-T4 OLTP profile)."""
+    """A realistic append mix: per txn two UPDATEs over the sales row
+    shapes and one COMMIT (the T1-T4 OLTP profile)."""
     records = []
     lsn = 1
-    for txn_id in range(1, n // 4 + 2):
+    for txn_id in range(1, n // 3 + 2):
         prev = 0
         def stamp(kind, table=None, key=None, before=None, after=None):
             nonlocal lsn, prev
@@ -66,7 +66,6 @@ def sample_records(n: int):
             lsn += 1
             records.append(record)
         order = (txn_id, txn_id % 97, _EPOCH + txn_id, "NEW", 104.5, 99.0)
-        stamp(LogKind.BEGIN)
         stamp(LogKind.UPDATE, "ORDERS", txn_id,
               before=order,
               after=order[:3] + ("PAID", 104.5, _EPOCH + txn_id + 1.0))

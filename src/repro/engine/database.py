@@ -11,7 +11,9 @@ This is the only class most callers need::
 Write path (strict WAL-before-data): X-lock the row, append the log
 record, apply the physical change, remember the record on the
 transaction.  Commit appends COMMIT, notifies replication listeners
-with the transaction's record batch, and releases all locks.
+with the transaction's record batch, and releases all locks.  BEGIN is
+never logged, and a transaction that wrote nothing commits or rolls
+back without touching the log at all.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.engine.errors import (
     EngineError,
     LockTimeoutError,
     SchemaError,
+    SimulatedCrash,
     SqlError,
     TransactionAborted,
     WriteConflictError,
@@ -115,6 +118,10 @@ class Database:
         self._commit_listeners: List[CommitListener] = []
         self.checkpoint_lsn = 0
         self._checkpoint_snapshots: Dict[str, TableSnapshot] = {}
+        #: transaction-id high-water mark stored with the checkpoint
+        #: image: a truncating checkpoint drops the records the log
+        #: would otherwise recover it from
+        self._checkpoint_next_txn_id = 1
         #: MVCC: snapshots never start below this LSN.  Replica appliers
         #: raise it to the applied primary LSN so snapshot reads on a
         #: replica see the shipped versions (which carry primary LSNs).
@@ -174,18 +181,20 @@ class Database:
         isolation: Optional[IsolationLevel] = None,
         deadline=None,
     ) -> Transaction:
+        # BEGIN is not logged: a transaction's first data record opens
+        # its undo chain.  A dead instance still refuses new work, so a
+        # read on a killed node fails like a write does.
+        if self.wal.is_dead:
+            raise SimulatedCrash("instance is down: begin rejected until restart")
         txn = self.txns.begin(self, isolation or self.default_isolation)
         txn.deadline = deadline
         if self._c_txn is not None:
             txn.start_s = self.obs.now()
             self._c_txn["begin"].value += 1.0
-        record = self.wal.append(txn.txn_id, LogKind.BEGIN)
-        txn.first_lsn = record.lsn
-        txn.last_lsn = record.lsn
         if txn.isolation in MVCC_LEVELS:
-            # Commit LSNs are strictly greater than the BEGIN record's
-            # LSN, so this snapshot excludes every later commit.
-            txn.snapshot_lsn = max(record.lsn, self.snapshot_floor)
+            # Every commit so far has an LSN <= the log tail and every
+            # later one a larger LSN, so this snapshot excludes them.
+            txn.snapshot_lsn = max(self.wal.last_lsn, self.snapshot_floor)
         self._txn_records[txn.txn_id] = []
         return txn
 
@@ -196,21 +205,32 @@ class Database:
             raise TransactionAborted(
                 f"transaction {txn.txn_id} is {txn.state.value}"
             )
-        record = self.wal.append(txn.txn_id, LogKind.COMMIT)
-        # Stamp this transaction's version-chain entries with the commit
-        # LSN: they become visible to snapshots taken from here on.
-        for version in txn.created_versions:
-            version.begin_lsn = record.lsn
-            version.begin_txn = None
-        for version in txn.ended_versions:
-            version.end_lsn = record.lsn
-            version.end_txn = None
+        read_only = not txn.last_lsn
+        if read_only:
+            # Nothing was logged, so there is nothing to make durable or
+            # to ship: no COMMIT, no fsync, no commit listener.  A dead
+            # instance still refuses the commit.
+            if self.wal.is_dead:
+                raise SimulatedCrash("instance is down: commit rejected until restart")
+        else:
+            record = self.wal.append(txn.txn_id, LogKind.COMMIT)
+            # Stamp this transaction's version-chain entries with the
+            # commit LSN: they become visible to snapshots taken from
+            # here on.
+            for version in txn.created_versions:
+                version.begin_lsn = record.lsn
+                version.begin_txn = None
+            for version in txn.ended_versions:
+                version.end_lsn = record.lsn
+                version.end_txn = None
         txn.state = TxnState.COMMITTED
         records = self._txn_records.pop(txn.txn_id, [])
         self.locks.release_all(txn.txn_id)
         self.txns.finish(txn, committed=True)
         if self.obs.enabled:
             self._observe_txn_end(txn, "commit")
+        if read_only:
+            return
         for listener in self._commit_listeners:
             listener(txn.txn_id, record.lsn, records)
         if (
@@ -228,7 +248,9 @@ class Database:
 
         for record in reversed(self._txn_records.pop(txn.txn_id, [])):
             _apply_undo(self, record)
-        self.wal.append(txn.txn_id, LogKind.ABORT)
+        if txn.last_lsn:
+            # A transaction that logged nothing has nothing to close.
+            self.wal.append(txn.txn_id, LogKind.ABORT)
         txn.state = TxnState.ABORTED
         self.locks.cancel_wait(txn.txn_id)
         self.locks.release_all(txn.txn_id)
@@ -656,6 +678,7 @@ class Database:
         self._checkpoint_snapshots = {
             name: table.snapshot() for name, table in self._tables.items()
         }
+        self._checkpoint_next_txn_id = self.txns.next_txn_id
         record = self.wal.append(0, LogKind.CHECKPOINT)
         self.checkpoint_lsn = record.lsn
         if truncate_wal:
@@ -678,6 +701,7 @@ class Database:
         self._checkpoint_snapshots = {
             name: table.snapshot() for name, table in self._tables.items()
         }
+        self._checkpoint_next_txn_id = self.txns.next_txn_id
         self.checkpoint_lsn = checkpoint_lsn
         self.wal.start_from(checkpoint_lsn + 1)
 
@@ -698,6 +722,7 @@ class Database:
         self._tables = {}
         self._version_stores = ()
         self._checkpoint_snapshots = {}
+        self._checkpoint_next_txn_id = 1
         self.checkpoint_lsn = 0
         self.snapshot_floor = 0
         if self.buffer is not None:
@@ -733,9 +758,14 @@ class Database:
                            attrs={"db": self.name})
         # Transaction ids must stay monotone across restarts: a reused id
         # would let a post-crash ABORT record poison an identically-
-        # numbered committed transaction from before the crash.  Real
-        # engines recover the XID high-water mark from the log.
-        self.txns = TransactionManager(start_id=self.wal.max_txn_id() + 1)
+        # numbered committed transaction from before the crash.  The
+        # high-water mark is the larger of the one stored with the
+        # checkpoint image and the highest id the retained log holds.
+        # Ids of read-only transactions since the checkpoint may be
+        # reused: they logged nothing.
+        self.txns = TransactionManager(start_id=max(
+            self._checkpoint_next_txn_id, self.wal.max_txn_id() + 1,
+        ))
         self._txn_records.clear()
         # A fired crash point left the log refusing appends; the restart
         # revives it (the durable records themselves survived).

@@ -174,7 +174,7 @@ def recover(db: "Database") -> RecoveryReport:
         prepared: Dict[int, object] = {}
         with obs.span("recovery.analysis", "engine", track="engine"):
             for record in records:
-                if record.kind in DATA_KINDS or record.kind is LogKind.BEGIN:
+                if record.kind in DATA_KINDS:
                     seen.add(record.txn_id)
                 elif record.kind is LogKind.COMMIT:
                     report.winners.add(record.txn_id)

@@ -18,6 +18,7 @@ once no live snapshot can need the history.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.engine.buffer import BufferPool
@@ -526,15 +527,26 @@ class Table:
         self._rebuild_indexes()
 
     def _rebuild_indexes(self) -> None:
+        # Restart recovery spends most of its time here, so everything
+        # per-row that does not depend on the row is resolved up front:
+        # the key column, one key getter per index, the page number.
         self.primary_index.clear()
         for index in self.secondary_indexes.values():
             index.clear()
+        pk_insert = self.primary_index.insert
+        pk_index = self.schema.primary_key_index
+        column_index = self.schema.column_index
+        secondaries = [
+            (index.insert, itemgetter(*map(column_index, index.columns)))
+            for index in self.secondary_indexes.values()
+        ]
         for page in self._pages:
+            page_no = page.page_no
             for slot, row in page.rows():
-                rid = RowId(page.page_no, slot)
-                self.primary_index.insert(row[self.schema.primary_key_index], rid)
-                for index in self.secondary_indexes.values():
-                    index.insert(self._index_key(index.columns, row), rid)
+                rid = RowId(page_no, slot)
+                pk_insert(row[pk_index], rid)
+                for insert, key_of in secondaries:
+                    insert(key_of(row), rid)
 
     # -- internals --------------------------------------------------------------
 

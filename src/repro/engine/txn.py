@@ -26,8 +26,8 @@ class IsolationLevel(enum.Enum):
       commit); ``READ_COMMITTED`` releases S locks immediately after
       each read, which is what the paper's OLTP workloads run under on
       PostgreSQL.
-    * **MVCC** -- ``SNAPSHOT`` and ``REPEATABLE_READ`` capture a commit-
-      LSN snapshot at ``BEGIN`` and read row versions without taking any
+    * **MVCC** -- ``SNAPSHOT`` and ``REPEATABLE_READ`` take a commit-LSN
+      snapshot (the WAL tail) at ``begin()`` and read row versions without any
       locks; writes still lock and additionally fail with a retryable
       :class:`~repro.engine.errors.WriteConflictError` when another
       transaction committed a newer version first (first-updater-wins).
@@ -58,7 +58,7 @@ class Transaction:
     """One unit of work against a :class:`Database`."""
 
     __slots__ = (
-        "_db", "txn_id", "isolation", "state", "first_lsn", "last_lsn",
+        "_db", "txn_id", "isolation", "state", "last_lsn",
         "reads", "writes", "start_s", "snapshot_lsn", "created_versions",
         "ended_versions", "gtid", "deadline",
     )
@@ -73,14 +73,16 @@ class Transaction:
         self.txn_id = txn_id
         self.isolation = isolation
         self.state = TxnState.ACTIVE
-        self.first_lsn = 0
+        #: LSN of this transaction's newest log record; 0 until its
+        #: first write, and a transaction still at 0 when it ends wrote
+        #: nothing, so it commits or rolls back without logging
         self.last_lsn = 0
         #: statement-level counters consumed by the cost model
         self.reads = 0
         self.writes = 0
         #: begin timestamp stamped by the database's observer (0.0 when off)
         self.start_s = 0.0
-        #: commit-LSN snapshot captured at BEGIN for the MVCC levels
+        #: commit-LSN snapshot taken at ``begin()`` for the MVCC levels
         #: (``None`` for the lock-based levels): versions committed at or
         #: below this LSN are visible, later commits are not.
         self.snapshot_lsn: Optional[int] = None
@@ -149,6 +151,11 @@ class TransactionManager:
         self.active: dict[int, Transaction] = {}
         self.committed = 0
         self.aborted = 0
+
+    @property
+    def next_txn_id(self) -> int:
+        """The id the next :meth:`begin` hands out."""
+        return self._next_txn_id
 
     def begin(
         self, db: "Database", isolation: IsolationLevel

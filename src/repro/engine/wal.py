@@ -31,7 +31,10 @@ from repro.obs import NULL_OBSERVER, Observer
 
 
 class LogKind(enum.Enum):
-    BEGIN = "begin"
+    """Record kinds.  There is no BEGIN: a transaction's first data
+    record (``prev_lsn`` 0) opens its chain, and a transaction that
+    writes nothing logs nothing."""
+
     COMMIT = "commit"
     ABORT = "abort"
     INSERT = "insert"

@@ -68,7 +68,9 @@ _unpack_double = struct.Struct(">d").unpack_from
 _HEADER = struct.Struct(">QQQI")  # lsn, txn_id, prev_lsn, crc
 
 #: Stable kind-code table for the v2 header byte.  Append-only: codes
-#: are part of the wire format and must never be reassigned.
+#: are part of the wire format and must never be reassigned.  Code 0
+#: ("begin") is retired -- BEGIN is no longer logged -- and decodes as
+#: a bad kind.
 KIND_CODES: Tuple[str, ...] = (
     "begin", "commit", "abort", "insert", "update",
     "delete", "checkpoint", "prepare", "decision",
@@ -303,7 +305,7 @@ def decode_record(data: bytes) -> Any:
         code = data[1]
         try:
             kind = LogKind(KIND_CODES[code])
-        except IndexError:
+        except (IndexError, ValueError):
             raise ValueError(f"bad kind code {code}") from None
         lsn, txn_id, prev_lsn, crc = _HEADER.unpack_from(data, 2)
         pos = 2 + _HEADER.size

@@ -620,7 +620,7 @@ class SQLServer:
         """One whole transaction, atomic with respect to the event loop.
 
         The drainer calls this synchronously -- no awaits happen between
-        the BEGIN and the COMMIT below, so two pipelined batches from
+        ``fleet.begin()`` and the commit below, so two pipelined batches from
         different connections can never interleave their statements,
         which is what pins the measured counters (committed / aborted /
         fsyncs) regardless of asyncio scheduling order.

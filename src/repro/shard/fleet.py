@@ -200,12 +200,13 @@ class ShardedDatabase:
         standby is a *different* database object, so after failover the
         text path (and the shard's own plan cache) takes over.
 
-        A dead shard's WAL raises the engine-internal
-        :class:`~repro.engine.errors.SimulatedCrash` on the first append
-        (even a read pays a BEGIN record); clients should instead see a
-        retryable :class:`~repro.engine.errors.ShardUnavailableError`
-        that names the shard and classifies correctly for the resilience
-        stack's breakers and retry budget.
+        A dead shard raises the engine-internal
+        :class:`~repro.engine.errors.SimulatedCrash` at ``begin()``, so
+        even a read that would log nothing is refused; clients should
+        instead see a retryable
+        :class:`~repro.engine.errors.ShardUnavailableError` that names
+        the shard and classifies correctly for the resilience stack's
+        breakers and retry budget.
         """
         try:
             shard = self._shard_db(shard_id)

@@ -219,6 +219,20 @@ class TestWalTruncation:
         env.run(until=5.0)
         assert pipeline.converged()
 
+    def test_txn_ids_stay_monotone_across_a_truncating_checkpoint(self):
+        """The truncated prefix took the logged ids with it; the id
+        high-water mark stored with the checkpoint image keeps new ids
+        from reusing them (the DR archive still holds those records)."""
+        db = fresh_db()
+        for k in range(1, 7):
+            db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [k, k])
+        used = db.txns.next_txn_id - 1
+        db.checkpoint(truncate_wal=True)
+        assert db.wal.max_txn_id() == 0  # only the CHECKPOINT record is left
+        db.crash()
+        db.recover()
+        assert db.begin().txn_id == used + 1
+
     def test_default_checkpoint_retains_log(self):
         db = fresh_db()
         db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [1, 1])

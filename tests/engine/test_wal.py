@@ -7,25 +7,25 @@ from repro.engine.wal import DATA_KINDS, LogKind, WriteAheadLog
 
 def test_lsns_are_monotone_from_one():
     wal = WriteAheadLog()
-    records = [wal.append(1, LogKind.BEGIN), wal.append(1, LogKind.COMMIT)]
+    records = [wal.append(1, LogKind.PREPARE), wal.append(1, LogKind.COMMIT)]
     assert [record.lsn for record in records] == [1, 2]
     assert wal.last_lsn == 2
 
 
 def test_prev_lsn_links_within_transaction():
     wal = WriteAheadLog()
-    begin = wal.append(5, LogKind.BEGIN)
+    first = wal.append(5, LogKind.PREPARE)
     insert = wal.append(5, LogKind.INSERT, table="T", key=1, after=(1,))
     update = wal.append(5, LogKind.UPDATE, table="T", key=1, before=(1,), after=(2,))
-    assert begin.prev_lsn == 0
-    assert insert.prev_lsn == begin.lsn
+    assert first.prev_lsn == 0
+    assert insert.prev_lsn == first.lsn
     assert update.prev_lsn == insert.lsn
 
 
 def test_prev_lsn_does_not_cross_transactions():
     wal = WriteAheadLog()
-    wal.append(1, LogKind.BEGIN)
-    other = wal.append(2, LogKind.BEGIN)
+    wal.append(1, LogKind.PREPARE)
+    other = wal.append(2, LogKind.PREPARE)
     mine = wal.append(1, LogKind.INSERT, table="T", key=1, after=(1,))
     assert other.prev_lsn == 0
     assert mine.prev_lsn == 1
@@ -33,7 +33,7 @@ def test_prev_lsn_does_not_cross_transactions():
 
 def test_transaction_chain_newest_first():
     wal = WriteAheadLog()
-    wal.append(1, LogKind.BEGIN)
+    wal.append(1, LogKind.PREPARE)
     a = wal.append(1, LogKind.INSERT, table="T", key=1, after=(1,))
     wal.append(2, LogKind.INSERT, table="T", key=9, after=(9,))
     b = wal.append(1, LogKind.DELETE, table="T", key=1, before=(1,))
@@ -62,15 +62,15 @@ def test_truncate_drops_old_records():
 
 def test_truncate_is_idempotent():
     wal = WriteAheadLog()
-    wal.append(1, LogKind.BEGIN)
+    wal.append(1, LogKind.PREPARE)
     wal.truncate(2)
     assert wal.truncate(2) == 0
 
 
 def test_record_at_bounds():
     wal = WriteAheadLog()
-    wal.append(1, LogKind.BEGIN)
-    assert wal.record_at(1).kind is LogKind.BEGIN
+    wal.append(1, LogKind.PREPARE)
+    assert wal.record_at(1).kind is LogKind.PREPARE
     with pytest.raises(ValueError):
         wal.record_at(2)
     with pytest.raises(ValueError):
@@ -79,7 +79,7 @@ def test_record_at_bounds():
 
 def test_byte_size_grows_with_images():
     wal = WriteAheadLog()
-    small = wal.append(1, LogKind.BEGIN)
+    small = wal.append(1, LogKind.PREPARE)
     big = wal.append(1, LogKind.UPDATE, table="T", key=1,
                      before=(1, "a", 2.0), after=(1, "b", 3.0))
     assert big.byte_size() > small.byte_size()
@@ -87,7 +87,7 @@ def test_byte_size_grows_with_images():
 
 def test_bytes_between():
     wal = WriteAheadLog()
-    wal.append(1, LogKind.BEGIN)
+    wal.append(1, LogKind.PREPARE)
     r2 = wal.append(1, LogKind.INSERT, table="T", key=1, after=(1,))
     r3 = wal.append(1, LogKind.INSERT, table="T", key=2, after=(2,))
     assert wal.bytes_between(1, 3) == r2.byte_size() + r3.byte_size()
@@ -102,7 +102,7 @@ def test_data_kinds_constant():
 def test_max_txn_id_and_first_retained():
     wal = WriteAheadLog()
     assert wal.max_txn_id() == 0
-    wal.append(3, LogKind.BEGIN)
+    wal.append(3, LogKind.PREPARE)
     wal.append(7, LogKind.INSERT, table="T", key=1, after=(1,))
     wal.append(5, LogKind.COMMIT)
     assert wal.max_txn_id() == 7

@@ -130,7 +130,7 @@ def test_crash_before_loses_the_record():
 def test_crash_after_keeps_record_durable_but_txn_uncommitted():
     db = fresh_db()
     db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [1, 1])
-    db.wal.arm_crash(db.wal.last_lsn + 2, mode="after")  # the INSERT record
+    db.wal.arm_crash(db.wal.last_lsn + 1, mode="after")  # the INSERT record
     with pytest.raises(SimulatedCrash):
         db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [2, 2])
     # the data record reached the log intact...
@@ -149,7 +149,7 @@ def test_crash_after_keeps_record_durable_but_txn_uncommitted():
 def test_torn_write_truncates_at_the_torn_record():
     db = fresh_db()
     db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [1, 1])
-    torn_lsn = db.wal.last_lsn + 2
+    torn_lsn = db.wal.last_lsn + 1  # the INSERT record
     db.wal.arm_crash(torn_lsn, mode="torn")
     with pytest.raises(SimulatedCrash):
         db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [2, 2])

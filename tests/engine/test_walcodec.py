@@ -96,6 +96,18 @@ class TestWireRoundTrip:
         else:  # pragma: no cover
             raise AssertionError("bad version must not decode")
 
+    def test_retired_begin_code_rejected(self):
+        """Kind code 0 stays reserved for the retired BEGIN record."""
+        record = make_record(LogKind.COMMIT, None, None, None, None)
+        frame = bytearray(encode_record(record))
+        frame[1] = 0
+        try:
+            decode_record(bytes(frame))
+        except ValueError as exc:
+            assert "bad kind code 0" in str(exc)
+        else:  # pragma: no cover
+            raise AssertionError("kind code 0 must not decode")
+
 
 class TestCanonicalCrc:
     def test_integral_floats_fold_to_ints(self):
@@ -145,7 +157,7 @@ class TestCanonicalCrc:
         implementations to byte-identical behaviour."""
         wal = WriteAheadLog()
         records = [
-            wal.append(1, LogKind.BEGIN),
+            wal.append(1, LogKind.PREPARE),
             wal.append(1, LogKind.UPDATE, table="T", key=2.0,
                        before=(2.0, "a", 1.5), after=(2.0, "b", -0.0)),
             wal.append(1, LogKind.INSERT, table="T", key=(1, "k"),
